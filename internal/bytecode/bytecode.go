@@ -4,12 +4,14 @@
 // `for { switch op }` loop — no per-op closures, no interface values,
 // no allocation on the per-packet path.
 //
-// The compile pass is a second backend over the same IR the linking
-// pass (pipeline.Link) consumes, and it must stay bit-identical to the
-// map interpreter and the linked closures on every input — the difftest
+// The VM is the one fast executor: compiler.Runtime runs every hop
+// through it (per-hop blob roundtrip), and the engine's batched path
+// runs whole traces through it with a resident PHV. It must stay
+// bit-identical to the map interpreter on every input — the difftest
 // conformance suite replays the corpus, the frontier counterexamples,
-// and randomized programs across all four backends and demands
-// byte-exact verdicts, report payloads, and telemetry blobs.
+// and randomized programs through the reference interpreter, the map
+// pipeline, and both VM shapes, and demands byte-exact verdicts,
+// report payloads, and telemetry blobs.
 //
 // Layout decisions that make the VM fast:
 //
@@ -51,11 +53,11 @@ type OpKind uint8
 // keeping the performance-model counters identical to the other
 // executors.
 const (
-	opNop   OpKind = iota
-	opLoadF        // A=dst, B=src, W: width-defaulting field read
-	opAssign       // A=dst, B=src, W: dst = B(W, src.V) [ir]
-	opJmp          // A=target
-	opJz           // A=cond, B=target: jump if cond is false [ir: IfOp]
+	opNop    OpKind = iota
+	opLoadF         // A=dst, B=src, W: width-defaulting field read
+	opAssign        // A=dst, B=src, W: dst = B(W, src.V) [ir]
+	opJmp           // A=target
+	opJz            // A=cond, B=target: jump if cond is false [ir: IfOp]
 
 	opNot  // A=dst, B=src
 	opBNot //
@@ -130,7 +132,7 @@ type Instr struct {
 const tempBase int32 = 1 << 24
 
 // teleStep is one field of the telemetry wire layout: slot, width, and
-// static bit offset (mirrors the linked executor's layout exactly).
+// static bit offset (mirrors Program.EncodeTele's layout exactly).
 type teleStep struct {
 	slot  int32
 	width int32
@@ -233,9 +235,9 @@ type comp struct {
 	tempNext, tempMax int32
 }
 
-// Compile builds the bytecode form of prog. Like pipeline.Link it fails
-// only on programs the map interpreter would also reject at execution
-// time (ops referencing undeclared tables or registers).
+// Compile builds the bytecode form of prog. It fails only on programs
+// the map interpreter would also reject at execution time (ops
+// referencing undeclared tables or registers).
 func Compile(prog *pipeline.Program) (*Prog, error) {
 	p := &Prog{P: prog, slots: make(map[pipeline.FieldRef]int32, 64)}
 	cp := &comp{
@@ -350,7 +352,7 @@ func (cp *comp) layout() error {
 	p := cp.p
 
 	// Telemetry region first, mirroring the sequential wire layout of
-	// Program.EncodeTele (and pipeline.Linked.layoutTele).
+	// Program.EncodeTele.
 	off := int32(0)
 	addTele := func(slot int32, width int) {
 		p.teleSteps = append(p.teleSteps, teleStep{slot: slot, width: int32(width), off: off})

@@ -30,8 +30,9 @@ func bin(op pipeline.OpCode, x, y pipeline.Expr) pipeline.Expr {
 // arrays, scratch arrays with shift-eviction and out-of-range slot
 // writes, width-defaulted reads of never-written fields, eager
 // compilation of short-circuit operators over division by zero,
-// oversized shifts, two's-complement abs/neg, mux, exact and TCAM
-// tables, registers, and nested control flow.
+// oversized shifts, two's-complement abs/neg, mux, exact, TCAM and
+// wide (more than MaxPackedKeys columns) tables, registers, and nested
+// control flow.
 func tortureProgram() *pipeline.Program {
 	hopsF := pipeline.Field{Ref: pipeline.FieldHops, Width: 8}
 	h0 := f("hdr.x.h0", 8)
@@ -51,6 +52,15 @@ func tortureProgram() *pipeline.Program {
 				Outputs:      []pipeline.FieldRef{"tcam_t.out"},
 				OutputWidths: []int{8},
 				Default:      []pipeline.Value{pipeline.B(8, 9)},
+			},
+			{
+				Name: "wide_t",
+				Keys: []pipeline.KeySpec{
+					{Width: 8}, {Width: 8}, {Width: 8}, {Width: 8}, {Width: 12},
+				},
+				Outputs:      []pipeline.FieldRef{"wide_t.out"},
+				OutputWidths: []int{8},
+				Default:      []pipeline.Value{pipeline.B(8, 3)},
 			},
 		},
 		Registers: []pipeline.RegisterSpec{{Name: "reg", Width: 16, Size: 4}},
@@ -123,6 +133,13 @@ func tortureProgram() *pipeline.Program {
 					pipeline.AssignOp{Dst: "mm", DstWidth: 12, Src: c(12, 0xFFF)},
 				},
 			},
+			// Wide apply (generic slice-key path), reporting on a hit.
+			pipeline.ApplyOp{Table: "wide_t", Keys: []pipeline.Expr{
+				h0, c(8, 1), c(8, 2), c(8, 3), f("t_scalar", 12)}},
+			pipeline.IfOp{
+				Cond: f("wide_t.$hit", 1),
+				Then: []pipeline.Op{pipeline.ReportOp{Args: []pipeline.Expr{f("wide_t.out", 8), h0}}},
+			},
 			// Reject when the trace ran 3+ hops and the exact table hit.
 			pipeline.AssignOp{Dst: pipeline.FieldReject, DstWidth: 1, Src: bin(pipeline.OpLAnd,
 				bin(pipeline.OpGe, hopsF, c(8, 3)), f("exact_t.$hit", 1))},
@@ -139,10 +156,19 @@ func installTorture(t *testing.T, st *pipeline.State) {
 	for _, k := range []uint64{1, 13, 25, 52, 61, 97} {
 		if err := st.Tables["exact_t"].Insert(pipeline.Entry{
 			Keys:   []pipeline.KeyMatch{pipeline.ExactKey(k)},
-			Action: []pipeline.Value{pipeline.B(16, 1000 + k)},
+			Action: []pipeline.Value{pipeline.B(16, 1000+k)},
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Wide: hit when the last hop's header is 0 and the scalar reads 4
+	// (the {1, 0} trace).
+	if err := st.Tables["wide_t"].Insert(pipeline.Entry{
+		Keys: []pipeline.KeyMatch{pipeline.ExactKey(0), pipeline.ExactKey(1), pipeline.ExactKey(2),
+			pipeline.ExactKey(3), pipeline.ExactKey(4)},
+		Action: []pipeline.Value{pipeline.B(8, 66)},
+	}); err != nil {
+		t.Fatal(err)
 	}
 	// Ternary: match any key with low bit set, higher priority for 0x03.
 	if err := st.Tables["tcam_t"].Insert(pipeline.Entry{
@@ -176,54 +202,54 @@ func tortureTraces() [][]uint64 {
 }
 
 // TestVMPerHopParity threads the per-hop blob roundtrip through the
-// linked closures and the bytecode VM and demands identical HopResults
-// — blob bytes, verdicts, reports, and performance counters — at every
-// hop.
+// map-based reference interpreter and the bytecode VM and demands
+// identical HopResults — blob bytes, verdicts, reports, and performance
+// counters — at every hop.
 func TestVMPerHopParity(t *testing.T) {
 	prog := tortureProgram()
-	rtLk := &compiler.Runtime{Prog: prog}
-	rtVM := &compiler.Runtime{Prog: prog, UseVM: true}
+	rtRef := &compiler.Runtime{Prog: prog, NoLink: true}
+	rtVM := &compiler.Runtime{Prog: prog}
 	if rtVM.VM() == nil {
 		t.Fatal("bytecode backend unavailable")
 	}
 
 	for ti, headers := range tortureTraces() {
-		stLk, stVM := prog.NewState(), prog.NewState()
-		installTorture(t, stLk)
+		stRef, stVM := prog.NewState(), prog.NewState()
+		installTorture(t, stRef)
 		installTorture(t, stVM)
 
-		var blobLk, blobVM []byte
+		var blobRef, blobVM []byte
 		for i, hv := range headers {
 			first, last := i == 0, i == len(headers)-1
 			hdr := map[string]pipeline.Value{"hdr.x.h0": pipeline.B(8, hv)}
-			hrLk, err := rtLk.RunHop(blobLk, compiler.HopEnv{State: stLk, SwitchID: uint32(i%3 + 1), Headers: hdr, PacketLen: 100}, first, last)
+			hrRef, err := rtRef.RunHop(blobRef, compiler.HopEnv{State: stRef, SwitchID: uint32(i%3 + 1), Headers: hdr, PacketLen: 100}, first, last)
 			if err != nil {
-				t.Fatalf("trace %d hop %d linked: %v", ti, i, err)
+				t.Fatalf("trace %d hop %d map: %v", ti, i, err)
 			}
 			hrVM, err := rtVM.RunHop(blobVM, compiler.HopEnv{State: stVM, SwitchID: uint32(i%3 + 1), Headers: hdr, PacketLen: 100}, first, last)
 			if err != nil {
 				t.Fatalf("trace %d hop %d vm: %v", ti, i, err)
 			}
-			if !bytes.Equal(hrLk.Blob, hrVM.Blob) {
-				t.Fatalf("trace %d hop %d blob: linked %x vm %x", ti, i, hrLk.Blob, hrVM.Blob)
+			if !bytes.Equal(hrRef.Blob, hrVM.Blob) {
+				t.Fatalf("trace %d hop %d blob: map %x vm %x", ti, i, hrRef.Blob, hrVM.Blob)
 			}
-			if hrLk.Reject != hrVM.Reject {
-				t.Fatalf("trace %d hop %d reject: linked %v vm %v", ti, i, hrLk.Reject, hrVM.Reject)
+			if hrRef.Reject != hrVM.Reject {
+				t.Fatalf("trace %d hop %d reject: map %v vm %v", ti, i, hrRef.Reject, hrVM.Reject)
 			}
-			if !reflect.DeepEqual(hrLk.Reports, hrVM.Reports) {
-				t.Fatalf("trace %d hop %d reports: linked %+v vm %+v", ti, i, hrLk.Reports, hrVM.Reports)
+			if !reflect.DeepEqual(hrRef.Reports, hrVM.Reports) {
+				t.Fatalf("trace %d hop %d reports: map %+v vm %+v", ti, i, hrRef.Reports, hrVM.Reports)
 			}
-			if hrLk.TableApplies != hrVM.TableApplies || hrLk.OpsExecuted != hrVM.OpsExecuted {
-				t.Fatalf("trace %d hop %d counters: linked (%d,%d) vm (%d,%d)", ti, i,
-					hrLk.TableApplies, hrLk.OpsExecuted, hrVM.TableApplies, hrVM.OpsExecuted)
+			if hrRef.TableApplies != hrVM.TableApplies || hrRef.OpsExecuted != hrVM.OpsExecuted {
+				t.Fatalf("trace %d hop %d counters: map (%d,%d) vm (%d,%d)", ti, i,
+					hrRef.TableApplies, hrRef.OpsExecuted, hrVM.TableApplies, hrVM.OpsExecuted)
 			}
-			blobLk, blobVM = hrLk.Blob, hrVM.Blob
+			blobRef, blobVM = hrRef.Blob, hrVM.Blob
 		}
 
 		// Register state converged identically.
 		for i := 0; i < 4; i++ {
-			if a, b := stLk.Registers["reg"].Read(i), stVM.Registers["reg"].Read(i); a != b {
-				t.Fatalf("trace %d reg[%d]: linked %d vm %d", ti, i, a, b)
+			if a, b := stRef.Registers["reg"].Read(i), stVM.Registers["reg"].Read(i); a != b {
+				t.Fatalf("trace %d reg[%d]: map %d vm %d", ti, i, a, b)
 			}
 		}
 	}
@@ -236,33 +262,33 @@ func TestVMResidentTraceParity(t *testing.T) {
 	prog := tortureProgram()
 	rt := &compiler.Runtime{Prog: prog}
 	for ti, headers := range tortureTraces() {
-		stLk, stVM := prog.NewState(), prog.NewState()
-		installTorture(t, stLk)
-		installTorture(t, stVM)
+		stHop, stRes := prog.NewState(), prog.NewState()
+		installTorture(t, stHop)
+		installTorture(t, stRes)
 
-		lkEnvs := make([]compiler.HopEnv, len(headers))
-		vmEnvs := make([]compiler.HopEnv, len(headers))
+		hopEnvs := make([]compiler.HopEnv, len(headers))
+		resEnvs := make([]compiler.HopEnv, len(headers))
 		for i, hv := range headers {
 			hdr := map[string]pipeline.Value{"hdr.x.h0": pipeline.B(8, hv)}
-			lkEnvs[i] = compiler.HopEnv{State: stLk, SwitchID: uint32(i%3 + 1), Headers: hdr, PacketLen: 64}
-			vmEnvs[i] = compiler.HopEnv{State: stVM, SwitchID: uint32(i%3 + 1), Headers: hdr, PacketLen: 64}
+			hopEnvs[i] = compiler.HopEnv{State: stHop, SwitchID: uint32(i%3 + 1), Headers: hdr, PacketLen: 64}
+			resEnvs[i] = compiler.HopEnv{State: stRes, SwitchID: uint32(i%3 + 1), Headers: hdr, PacketLen: 64}
 		}
-		want, err := rt.RunTrace(lkEnvs)
+		want, err := rt.RunTrace(hopEnvs)
 		if err != nil {
-			t.Fatalf("trace %d linked: %v", ti, err)
+			t.Fatalf("trace %d per-hop: %v", ti, err)
 		}
-		got, err := rt.RunTraceVM(vmEnvs)
+		got, err := rt.RunTraceVM(resEnvs)
 		if err != nil {
-			t.Fatalf("trace %d vm: %v", ti, err)
+			t.Fatalf("trace %d resident: %v", ti, err)
 		}
 		if want.Reject != got.Reject {
-			t.Fatalf("trace %d reject: linked %v vm %v", ti, want.Reject, got.Reject)
+			t.Fatalf("trace %d reject: per-hop %v resident %v", ti, want.Reject, got.Reject)
 		}
 		if !bytes.Equal(want.FinalBlob, got.FinalBlob) {
-			t.Fatalf("trace %d final blob: linked %x vm %x", ti, want.FinalBlob, got.FinalBlob)
+			t.Fatalf("trace %d final blob: per-hop %x resident %x", ti, want.FinalBlob, got.FinalBlob)
 		}
 		if !reflect.DeepEqual(want.Reports, got.Reports) {
-			t.Fatalf("trace %d reports: linked %+v vm %+v", ti, want.Reports, got.Reports)
+			t.Fatalf("trace %d reports: per-hop %+v resident %+v", ti, want.Reports, got.Reports)
 		}
 	}
 }
@@ -297,7 +323,9 @@ func TestCorpusCompiles(t *testing.T) {
 
 // TestBatchCacheRevalidation pins the TCAM cache freshness contract:
 // within a trust-caches window (BeginBatch) installs may be invisible,
-// but the next BeginBatch must observe them.
+// but the next BeginBatch must observe them. Per-hop execution
+// (Runtime.RunBlocks) never trusts its caches, so an install between
+// two calls must be visible to the second.
 func TestBatchCacheRevalidation(t *testing.T) {
 	prog := tortureProgram()
 	vp, err := bytecode.Compile(prog)
@@ -342,6 +370,42 @@ func TestBatchCacheRevalidation(t *testing.T) {
 	vp.BeginBatch(c)
 	if got := run(c, 0x04); got != 77 {
 		t.Fatalf("post-BeginBatch lookup = %d, want 77", got)
+	}
+
+	// Per-hop: the telemetry block adds h0 plus the tcam_t hit flag to
+	// reg[1], so the register delta of one RunBlocks call shows whether
+	// the lookup hit. Run twice before each change so a pooled context's
+	// cache is warm when the table moves underneath it.
+	rt := &compiler.Runtime{Prog: prog}
+	hopSt := prog.NewState()
+	installTorture(t, hopSt)
+	env := compiler.HopEnv{State: hopSt, SwitchID: 1, PacketLen: 100,
+		Headers: map[string]pipeline.Value{"hdr.x.h0": pipeline.B(8, 0x08)}}
+	hit := func() uint64 {
+		before := hopSt.Registers["reg"].Read(1)
+		if _, err := rt.RunBlocks(nil, env, compiler.BlockSet{Telemetry: true}, true, true); err != nil {
+			t.Fatal(err)
+		}
+		return hopSt.Registers["reg"].Read(1) - before - 0x08
+	}
+	tcam := hopSt.Tables["tcam_t"]
+	key := []pipeline.KeyMatch{pipeline.TernaryKey(0x08, 0x08)}
+	for phase, want := range []uint64{0, 1, 0} {
+		switch phase {
+		case 1:
+			if err := tcam.Insert(pipeline.Entry{Keys: key, Priority: 5, Action: []pipeline.Value{pipeline.B(8, 55)}}); err != nil {
+				t.Fatal(err)
+			}
+		case 2:
+			if n := tcam.Delete(key); n != 1 {
+				t.Fatalf("Delete removed %d entries, want 1", n)
+			}
+		}
+		for i := 0; i < 2; i++ {
+			if got := hit(); got != want {
+				t.Fatalf("per-hop phase %d run %d: tcam hit = %d, want %d (stale cache?)", phase, i, got, want)
+			}
+		}
 	}
 }
 
@@ -397,22 +461,139 @@ func TestVMSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// reportingProgram raises one digest per checker run carrying the
+// switch ID and the bound header, so tests can tell reports apart.
+func reportingProgram() *pipeline.Program {
+	return &pipeline.Program{
+		Name:           "reporting",
+		HeaderBindings: map[string]string{"h0": "hdr.x.h0"},
+		Checker: []pipeline.Op{
+			pipeline.ReportOp{Args: []pipeline.Expr{f(string(pipeline.FieldSwitch), 32), f("hdr.x.h0", 8)}},
+		},
+	}
+}
+
+// reportHop runs one first-and-last hop of reportingProgram on c and
+// checks the single digest it raises.
+func reportHop(t *testing.T, vp *bytecode.Prog, c *bytecode.Ctx, swID uint32) {
+	t.Helper()
+	vp.SetHopMeta(c.PHV, swID, 100, true, true)
+	vp.BindHeaderSlots(c.PHV, []pipeline.Value{pipeline.B(8, 0x5A)})
+	vp.ExecChecker(c)
+	if len(c.Reports) != 1 || c.Reports[0].Args[0].V != uint64(swID) {
+		t.Fatalf("hop on switch %d: reports %+v, want one carrying the switch", swID, c.Reports)
+	}
+}
+
+// TestPooledCtxReportIsolation pins the AcquireCtx/ReleaseCtx contract
+// that Runtime.RunBlocks' HopResult depends on: report slices (and the
+// Args inside them) escape to the caller at release time, so a context
+// coming back out of the pool must start with no reports, zeroed
+// counters, and a template PHV, and nothing a reused context does may
+// clobber a previously escaped digest.
+func TestPooledCtxReportIsolation(t *testing.T) {
+	vp := bytecode.MustCompile(reportingProgram())
+	c0 := vp.AcquireCtx()
+	fresh := append([]pipeline.Value(nil), c0.PHV...)
+	vp.ReleaseCtx(c0)
+
+	acquire := func() *bytecode.Ctx {
+		c := vp.AcquireCtx()
+		if len(c.Reports) != 0 || c.OpsExecuted != 0 || c.TableApplies != 0 {
+			t.Fatalf("pooled ctx not clean: %d reports, ops=%d applies=%d",
+				len(c.Reports), c.OpsExecuted, c.TableApplies)
+		}
+		if !reflect.DeepEqual(c.PHV, fresh) {
+			t.Fatal("pooled ctx PHV has a stale value")
+		}
+		return c
+	}
+
+	// First packet: raise a digest, let it escape, release the context.
+	c1 := acquire()
+	reportHop(t, vp, c1, 2)
+	escaped := c1.Reports
+	vp.ReleaseCtx(c1)
+
+	// Cycle the pool with different inputs; sync.Pool gives no identity
+	// guarantee, so keep going until c1 has demonstrably been reused.
+	reused := false
+	for i := 0; i < 64; i++ {
+		c := acquire()
+		reportHop(t, vp, c, uint32(100+i))
+		reused = reused || c == c1
+		vp.ReleaseCtx(c)
+	}
+	if !reused {
+		t.Skip("pool never returned the original context; isolation unobservable")
+	}
+
+	// The escaped digest must be exactly what hop one raised: reuse of
+	// its birth context may not have rewritten its Args in place.
+	if len(escaped) != 1 || escaped[0].Args[0].V != 2 {
+		t.Fatalf("escaped report was clobbered by context reuse: %+v", escaped)
+	}
+}
+
+// TestEphemeralReportsArena pins the opt-in zero-allocation report path
+// (BeginEphemeralReports): raising a report in ephemeral mode allocates
+// nothing at steady state on a persistent context, and a context
+// released from ephemeral mode comes back in the default
+// detach-on-release mode.
+func TestEphemeralReportsArena(t *testing.T) {
+	vp := bytecode.MustCompile(reportingProgram())
+
+	// A single pinned context, so sync.Pool churn can't attribute a
+	// different (cold) context's arena growth to the steady state.
+	c := vp.AcquireCtx()
+	hop := func() {
+		c.BeginEphemeralReports()
+		reportHop(t, vp, c, 7)
+	}
+	hop() // warm: the first run grows the arena and report slice
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(200, hop); n > 0 {
+			t.Errorf("ephemeral report raise: %.1f allocs/run, want 0", n)
+		}
+	}
+	vp.ReleaseCtx(c)
+
+	// After a release from ephemeral mode, a report raised without
+	// BeginEphemeralReports survives its context's release and any
+	// later ephemeral reuse untouched.
+	c2 := vp.AcquireCtx()
+	reportHop(t, vp, c2, 42)
+	escaped := c2.Reports
+	vp.ReleaseCtx(c2)
+	for i := 0; i < 8; i++ {
+		c3 := vp.AcquireCtx()
+		c3.BeginEphemeralReports()
+		reportHop(t, vp, c3, uint32(200+i))
+		vp.ReleaseCtx(c3)
+	}
+	if len(escaped) != 1 || escaped[0].Args[0].V != 42 {
+		t.Fatalf("detached report was clobbered by later ephemeral reuse: %+v", escaped)
+	}
+}
+
 // TestDecodeErrors pins the truncated-blob error parity with the
-// linked codec.
+// map-based reference codec (Program.EncodeTele/DecodeTele).
 func TestDecodeErrors(t *testing.T) {
 	prog := tortureProgram()
 	vp, err := bytecode.Compile(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lk := pipeline.MustLink(prog)
-	if got, want := vp.TeleWireBytes(), lk.TeleWireBytes(); got != want {
-		t.Fatalf("TeleWireBytes: vm %d linked %d", got, want)
+	if got, want := vp.TeleWireBytes(), (prog.TeleWireBits()+7)/8; got != want {
+		t.Fatalf("TeleWireBytes: vm %d map %d", got, want)
 	}
 	phv := make([]pipeline.Value, vp.NumSlots())
 	short := make([]byte, vp.TeleWireBytes()-1)
 	if err := vp.DecodeTele(short, phv); err == nil {
 		t.Fatal("short blob: want error")
+	}
+	if err := prog.DecodeTele(short, pipeline.PHV{}); err == nil {
+		t.Fatal("short blob: map codec accepted it")
 	}
 	if err := vp.DecodeTele(nil, phv); err != nil {
 		t.Fatalf("empty blob: %v", err)
@@ -453,7 +634,7 @@ func BenchmarkBytecodeDispatch(b *testing.B) {
 	for _, k := range []uint64{1, 13, 25} {
 		if err := st.Tables["exact_t"].Insert(pipeline.Entry{
 			Keys:   []pipeline.KeyMatch{pipeline.ExactKey(k)},
-			Action: []pipeline.Value{pipeline.B(16, 1000 + k)},
+			Action: []pipeline.Value{pipeline.B(16, 1000+k)},
 		}); err != nil {
 			b.Fatal(err)
 		}

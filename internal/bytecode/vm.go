@@ -7,9 +7,7 @@ import (
 )
 
 // Ctx is the pooled per-execution state of a bytecode program: the flat
-// PHV, the switch state, and the per-context TCAM lookup caches. It
-// mirrors pipeline.LCtx field-for-field so embedders treat the two
-// executors interchangeably.
+// PHV, the switch state, and the per-context TCAM lookup caches.
 type Ctx struct {
 	PHV     []pipeline.Value
 	State   *pipeline.State
@@ -40,12 +38,15 @@ type Ctx struct {
 }
 
 // BeginEphemeralReports arms arena-backed report storage for the
-// current execution, with the same contract as LCtx: every report
-// raised until the context is released (or this is called again on a
-// persistent context) must be fully consumed before the next
-// execution. Calling it again on an already-ephemeral context recycles
-// the previous execution's report buffer, so persistent per-shard
-// contexts reach zero allocations per packet at steady state.
+// current execution: every report raised until the context is released
+// (or this is called again on a persistent context) must be fully
+// consumed — or copied — before the next execution acquired from this
+// Prog's pool, from any goroutine. Single-threaded embedders that
+// deliver reports synchronously (the netsim event loop) qualify;
+// anything that retains reports must not use this. Calling it again on
+// an already-ephemeral context recycles the previous execution's report
+// buffer, so persistent per-shard contexts reach zero allocations per
+// packet at steady state.
 func (c *Ctx) BeginEphemeralReports() {
 	if c.ephemeral {
 		c.ephReports = c.Reports[:0]
@@ -57,9 +58,8 @@ func (c *Ctx) BeginEphemeralReports() {
 
 // tcamWays is the associativity of each TCAM apply site's lookup cache.
 // A trace touches one *Table per switch it visits, so a single-entry
-// cache (the linked executor's choice) thrashes when a context runs a
-// whole multi-switch trace; four ways cover the topologies the corpus
-// replays without a per-lookup map.
+// cache thrashes when a context runs a whole multi-switch trace; four
+// ways cover the topologies the corpus replays without a per-lookup map.
 const tcamWays = 4
 
 // maxCacheEntries bounds each per-site memo map; beyond it, lookups
@@ -130,9 +130,14 @@ func (p *Prog) AcquireCtx() *Ctx {
 	return c
 }
 
-// ReleaseCtx resets a context and returns it to the pool, with the same
-// report-detachment contract as Linked.ReleaseCtx: Reports escape with
-// the caller unless the execution was ephemeral.
+// ReleaseCtx resets a context and returns it to the pool. The report
+// slice — and the Args inside each Report — escape into the result the
+// caller is still reading, so Reports is detached unconditionally: a
+// pooled context never retains digest storage from a previous packet,
+// and a reused context can never clobber an escaped digest. Ephemeral
+// mode (BeginEphemeralReports) keeps the backing arrays for the next
+// ephemeral execution instead — that caller has promised the reports
+// do not outlive this release.
 func (p *Prog) ReleaseCtx(c *Ctx) {
 	c.State = nil
 	c.OpsExecuted, c.TableApplies = 0, 0
@@ -584,9 +589,7 @@ func (p *Prog) EncodeTele(dst []byte, phv []pipeline.Value) []byte {
 
 // putBits writes the low `width` bits of v MSB-first at static bit
 // offset off. The buffer must be pre-zeroed; byte-aligned whole-byte
-// writes take a store-only fast path. (Private duplicate of the linked
-// executor's codec — both pinned by the cross-backend blob equality
-// checks in difftest.)
+// writes take a store-only fast path.
 func putBits(buf []byte, off, width int, v uint64) {
 	if width <= 0 {
 		return

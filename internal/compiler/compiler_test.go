@@ -515,6 +515,34 @@ header bit<8> which;
 	}
 }
 
+// TestDiffLoopOverMutatedArray pins for-loop snapshot semantics: a loop
+// iterates the array as it was when the loop started, even when its body
+// pushes to it (growing it, or shifting a full one) or assigns into it.
+// Reporting every loop variable makes an extra iteration or a live
+// element read show up as a report diff against the interpreter.
+func TestDiffLoopOverMutatedArray(t *testing.T) {
+	src := `
+tele bit<8>[3] xs;
+header bit<8> seed;
+{ }
+{
+  xs.push(seed);
+  for (v in xs) { xs.push(v + 1); report(v); }
+}
+{
+  for (v in xs) { xs[0] = 99; report(v); }
+}
+`
+	h := newHarness(t, src)
+	for n := 1; n <= 4; n++ {
+		trace := make([]hopSpec, n)
+		for i := range trace {
+			trace[i] = hopSpec{SW: uint32(i + 1), Headers: map[string]uint64{"seed": uint64(10 * (i + 1))}}
+		}
+		h.RunBoth(trace)
+	}
+}
+
 // TestDiffHopCountInInit pins the init-block hop_count semantics: the
 // init block runs before the telemetry block's increment, so the
 // compiler reads hop_count+1 there to match the interpreter.

@@ -14,27 +14,21 @@ import (
 // egress, checker at the last hop's egress (§4.2). The telemetry blob it
 // threads between hops is exactly the Hydra header payload on the wire.
 //
-// By default the Runtime executes through the slot-resolved linked form
-// of the program (pipeline.Link): a flat PHV vector, closure-compiled
-// ops, and packed table keys — no string hashing or per-packet maps.
-// NoLink forces the original map-based interpreter, kept as the
-// reference semantics for differential testing.
+// The Runtime executes through the program's bytecode form
+// (bytecode.Compile): a flat PHV vector, one dispatch loop over flat
+// instructions, and packed table keys — no string hashing or
+// per-packet maps. NoLink forces the original map-based interpreter,
+// kept as the reference semantics for differential testing.
 type Runtime struct {
 	Prog *pipeline.Program
 	// CheckEveryHop enables the §4.3 per-hop checking variant: the
 	// checker block runs at every hop instead of only the last one, so
 	// violations are caught (and packets can be dropped) mid-network.
 	CheckEveryHop bool
-	// NoLink disables the linked executor; set it before the first Run*
-	// call. Used by the conformance suite to pin the reference path.
+	// NoLink runs the map-based reference interpreter instead of the
+	// bytecode VM; set it before the first Run* call. Used by the
+	// conformance suite to pin the reference path.
 	NoLink bool
-	// UseVM routes RunBlocks through the bytecode VM backend instead of
-	// the linked closures; set it before the first Run* call. RunTraceVM
-	// is available regardless.
-	UseVM bool
-
-	linkOnce sync.Once
-	linked   *pipeline.Linked
 
 	vmOnce sync.Once
 	vm     *bytecode.Prog
@@ -79,25 +73,10 @@ func (r *Runtime) Bindings() []string {
 	return r.bindings
 }
 
-// Linked returns the slot-resolved executable form of the program,
-// linking it on first use, or nil when NoLink is set or the program
-// fails to link (it then runs on the map interpreter, which surfaces
-// the same error at execution time).
-func (r *Runtime) Linked() *pipeline.Linked {
-	if r.NoLink {
-		return nil
-	}
-	r.linkOnce.Do(func() {
-		if lk, err := pipeline.Link(r.Prog); err == nil {
-			r.linked = lk
-		}
-	})
-	return r.linked
-}
-
 // VM returns the flat bytecode form of the program, compiling it on
 // first use, or nil when NoLink is set or compilation fails (execution
-// then falls back to the linked closures or the map interpreter).
+// then falls back to the map interpreter, which surfaces the same error
+// at execution time).
 func (r *Runtime) VM() *bytecode.Prog {
 	if r.NoLink {
 		return nil
@@ -134,17 +113,17 @@ type HopEnv struct {
 	// capacity is capped at its own slot (three-index subslice) or that
 	// is already exactly TeleWireBytes long. netsim's split blobs use
 	// capped disjoint subslices of the frame for exactly this. Note the
-	// unlinked (NoLink) reference path ignores ReuseBlob and returns a
+	// map-based (NoLink) reference path ignores ReuseBlob and returns a
 	// fresh blob; callers that require in-place must compare storage
 	// (&blob[0]) and copy back when it differs.
 	ReuseBlob bool
-	// EphemeralReports arms arena-backed report storage on the linked
-	// path (pipeline.LCtx.BeginEphemeralReports): raising a report
+	// EphemeralReports arms arena-backed report storage on the VM
+	// path (bytecode.Ctx.BeginEphemeralReports): raising a report
 	// allocates nothing, but HopResult.Reports — and the Args inside —
 	// must be fully consumed before the next RunBlocks call on this
 	// runtime from any goroutine. For single-threaded embedders that
 	// deliver reports synchronously; retainers must leave it unset. The
-	// unlinked reference path ignores it (and allocates as always).
+	// map-based reference path ignores it (and allocates as always).
 	EphemeralReports bool
 }
 
@@ -175,19 +154,15 @@ type BlockSet struct {
 // RunBlocks executes the selected blocks against the telemetry blob and
 // hop environment and returns the updated blob plus any verdicts.
 func (r *Runtime) RunBlocks(blob []byte, env HopEnv, bs BlockSet, first, last bool) (HopResult, error) {
-	if r.UseVM {
-		if vp := r.VM(); vp != nil {
-			return r.runVM(vp, blob, env, bs, first, last)
-		}
-	}
-	if lk := r.Linked(); lk != nil {
-		return r.runLinked(lk, blob, env, bs, first, last)
+	if vp := r.VM(); vp != nil {
+		return r.runVM(vp, blob, env, bs, first, last)
 	}
 	return r.runMapped(blob, env, bs, first, last)
 }
 
-// runVM executes one hop through the bytecode backend, with the same
-// per-hop blob roundtrip contract as runLinked.
+// runVM is the hot path: one hop through the bytecode backend with a
+// pooled flat PHV and the per-hop blob roundtrip, encoding in place
+// when the caller allows it.
 func (r *Runtime) runVM(vp *bytecode.Prog, blob []byte, env HopEnv, bs BlockSet, first, last bool) (HopResult, error) {
 	c := vp.AcquireCtx()
 	c.State = env.State
@@ -215,6 +190,8 @@ func (r *Runtime) runVM(vp *bytecode.Prog, blob []byte, env HopEnv, bs BlockSet,
 		vp.ExecChecker(c)
 	}
 
+	// Decode fully precedes encode, so reusing the incoming blob's
+	// storage is safe within one call — but only when the caller owns it.
 	var dst []byte
 	if env.ReuseBlob {
 		dst = blob[:0]
@@ -227,55 +204,6 @@ func (r *Runtime) runVM(vp *bytecode.Prog, blob []byte, env HopEnv, bs BlockSet,
 		OpsExecuted:  c.OpsExecuted,
 	}
 	vp.ReleaseCtx(c)
-	return res, nil
-}
-
-// runLinked is the hot path: pooled flat PHV, closure ops, in-place
-// telemetry encode when the caller allows it.
-func (r *Runtime) runLinked(lk *pipeline.Linked, blob []byte, env HopEnv, bs BlockSet, first, last bool) (HopResult, error) {
-	c := lk.AcquireCtx()
-	c.State = env.State
-	if env.EphemeralReports {
-		c.BeginEphemeralReports()
-	}
-	if err := lk.DecodeTele(blob, c.PHV); err != nil {
-		lk.ReleaseCtx(c)
-		return HopResult{}, err
-	}
-	c.PHV[lk.SlotSwitch] = pipeline.B(32, uint64(env.SwitchID))
-	c.PHV[lk.SlotPktLen] = pipeline.B(32, uint64(env.PacketLen))
-	c.PHV[lk.SlotLast] = pipeline.BoolV(last)
-	c.PHV[lk.SlotFirst] = pipeline.BoolV(first)
-	if env.SlotHeaders != nil {
-		lk.BindHeaderSlots(c.PHV, env.SlotHeaders)
-	} else if env.Headers != nil {
-		lk.BindHeaderMap(c.PHV, env.Headers)
-	}
-
-	if bs.Init {
-		lk.ExecInit(c)
-	}
-	if bs.Telemetry {
-		lk.ExecTelemetry(c)
-	}
-	if bs.Checker {
-		lk.ExecChecker(c)
-	}
-
-	// Decode fully precedes encode, so reusing the incoming blob's
-	// storage is safe within one call — but only when the caller owns it.
-	var dst []byte
-	if env.ReuseBlob {
-		dst = blob[:0]
-	}
-	res := HopResult{
-		Blob:         lk.EncodeTele(dst, c.PHV),
-		Reject:       c.PHV[lk.SlotReject].Bool(),
-		Reports:      c.Reports,
-		TableApplies: c.TableApplies,
-		OpsExecuted:  c.OpsExecuted,
-	}
-	lk.ReleaseCtx(c)
 	return res, nil
 }
 

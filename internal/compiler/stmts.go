@@ -191,7 +191,10 @@ func compoundOp(op token.Kind) pipeline.OpCode {
 // compileFor fully unrolls a (possibly multi-variable) for loop over the
 // static array capacity; each iteration is guarded by validity tests on
 // the arrays' counts (§4.1: "the loop body is executed for each list
-// index that is valid").
+// index that is valid"). A loop iterates the arrays as they were when
+// it started, so when the body pushes to or assigns into an array it
+// iterates, that array's count and elements are first copied into
+// temps and the iterations read the copies.
 func (c *compilerState) compileFor(s *ast.For) ([]pipeline.Op, error) {
 	type seqInfo struct {
 		base  string
@@ -244,13 +247,33 @@ func (c *compilerState) compileFor(s *ast.For) ([]pipeline.Op, error) {
 		}
 	}
 	var ops []pipeline.Op
+	counts := make([]pipeline.Expr, len(seqs))
+	slots := make([][]pipeline.Field, len(seqs))
+	for j, q := range seqs {
+		counts[j] = pipeline.Field{Ref: pipeline.ArrayCount(q.base), Width: 8}
+		slots[j] = make([]pipeline.Field, n)
+		for i := range slots[j] {
+			slots[j][i] = pipeline.Field{Ref: pipeline.ArraySlot(q.base, i), Width: q.elemW}
+		}
+		if !writesArray(body, q.base) {
+			continue
+		}
+		cnt := c.newTemp(8)
+		ops = append(ops, pipeline.AssignOp{Dst: cnt.Ref, DstWidth: 8, Src: counts[j]})
+		counts[j] = cnt
+		for i, slot := range slots[j] {
+			snap := c.newTemp(q.elemW)
+			ops = append(ops, pipeline.AssignOp{Dst: snap.Ref, DstWidth: q.elemW, Src: slot})
+			slots[j][i] = snap
+		}
+	}
 	for i := 0; i < n; i++ {
 		var cond pipeline.Expr
-		for _, q := range seqs {
+		for j := range seqs {
 			test := pipeline.Bin{
 				Op: pipeline.OpLt,
 				X:  pipeline.C(8, uint64(i)),
-				Y:  pipeline.Field{Ref: pipeline.ArrayCount(q.base), Width: 8},
+				Y:  counts[j],
 			}
 			if cond == nil {
 				cond = test
@@ -263,13 +286,35 @@ func (c *compilerState) compileFor(s *ast.For) ([]pipeline.Op, error) {
 			iter = append(iter, pipeline.AssignOp{
 				Dst:      temps[j].Ref,
 				DstWidth: q.elemW,
-				Src:      pipeline.Field{Ref: pipeline.ArraySlot(q.base, i), Width: q.elemW},
+				Src:      slots[j][i],
 			})
 		}
 		iter = append(iter, body...)
 		ops = append(ops, pipeline.IfOp{Cond: cond, Then: iter})
 	}
 	return ops, nil
+}
+
+// writesArray reports whether ops, at any nesting depth, push to or
+// assign into the tele array base.
+func writesArray(ops []pipeline.Op, base string) bool {
+	for _, op := range ops {
+		switch op := op.(type) {
+		case pipeline.PushOp:
+			if op.Base == base {
+				return true
+			}
+		case pipeline.SetSlotOp:
+			if op.Base == base {
+				return true
+			}
+		case pipeline.IfOp:
+			if writesArray(op.Then, base) || writesArray(op.Else, base) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (c *compilerState) compilePush(m *ast.Method) ([]pipeline.Op, error) {

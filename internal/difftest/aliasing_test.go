@@ -16,15 +16,28 @@ import (
 	"repro/internal/symexec"
 )
 
-// TestLinkedScratchAliasing runs every corpus checker through the
-// linked backend twice: once on a pristine runtime, and once on a
-// runtime whose pooled contexts have been deliberately dirtied between
-// packets — PHV slots scribbled with all-ones garbage, stale reports
-// attached, ephemeral report arenas churned, and unrelated dirt traces
-// executed so table-apply caches hold another packet's entries. The
-// outcomes must be byte-identical: any scratch value leaking from one
-// packet into the next shows up as a verdict, report, or blob diff.
-func TestLinkedScratchAliasing(t *testing.T) {
+// TestLinkedScratchAliasing poisons the VM's per-hop shape: RunTrace,
+// which calls Runtime.RunBlocks hop by hop with a blob roundtrip
+// through pooled contexts, the path every netsim switch and NIC runs.
+// The test keeps the name it had when that path ran on the
+// linked-closure executor, which the bytecode VM replaced.
+func TestLinkedScratchAliasing(t *testing.T) { checkScratchAliasing(t, 0) }
+
+// TestVMScratchAliasing poisons the VM's resident shape: RunTraceVM,
+// which keeps one PHV for the whole trace.
+func TestVMScratchAliasing(t *testing.T) { checkScratchAliasing(t, 1) }
+
+// checkScratchAliasing runs every corpus checker's golden traces
+// through one of the bytecode VM's two shapes — 0 is RunTrace
+// (per-hop), 1 is RunTraceVM (resident) — on a pristine runtime and on
+// a runtime whose pooled VM contexts are scribbled with all-ones
+// slots, stale reports, and bumped counters between traces, with
+// foreign dirt traces in both shapes (ephemeral report arenas on)
+// interleaved so the per-site table caches hold another packet's
+// entries. Outcomes must be byte-identical to a pristine runtime: the
+// per-trace template restore plus the per-hop reset runs must erase
+// every poisoned slot an execution could observe.
+func checkScratchAliasing(t *testing.T, shape int) {
 	for _, gt := range goldenTraces {
 		gt := gt
 		t.Run(gt.key, func(t *testing.T) {
@@ -63,140 +76,24 @@ func TestLinkedScratchAliasing(t *testing.T) {
 				return out
 			}
 
-			run := func(rt *compiler.Runtime, trace []difftest.HopSpec) compiler.TraceResult {
+			// shapes are the VM's two execution entry points; both draw
+			// their contexts from the same pool.
+			shapes := []struct {
+				name string
+				run  func(*compiler.Runtime, []compiler.HopEnv) (compiler.TraceResult, error)
+			}{
+				{"per-hop", (*compiler.Runtime).RunTrace},
+				{"resident", (*compiler.Runtime).RunTraceVM},
+			}
+
+			run := func(rt *compiler.Runtime, shape int, trace []difftest.HopSpec, dirt bool) compiler.TraceResult {
 				states, err := symexec.BuildStates(comp.Prog, model)
 				if err != nil {
 					t.Fatalf("build states: %v", err)
 				}
-				res, err := rt.RunTrace(envs(trace, states, false))
+				res, err := shapes[shape].run(rt, envs(trace, states, dirt))
 				if err != nil {
-					t.Fatalf("run: %v", err)
-				}
-				return res
-			}
-
-			// scribble poisons pooled contexts: all slots set to 64-bit
-			// all-ones, counters bumped, stale report digests attached.
-			// Acquiring several at once poisons multiple pool entries.
-			scribble := func(lk *pipeline.Linked) {
-				ctxs := make([]*pipeline.LCtx, 4)
-				for i := range ctxs {
-					c := lk.AcquireCtx()
-					for s := range c.PHV {
-						c.PHV[s] = pipeline.B(64, ^uint64(0))
-					}
-					c.Reports = append(c.Reports, pipeline.Report{
-						Args: []pipeline.Value{pipeline.B(64, 0xbadbadbadbad)},
-					})
-					c.OpsExecuted += 997
-					c.TableApplies += 31
-					ctxs[i] = c
-				}
-				for _, c := range ctxs {
-					lk.ReleaseCtx(c)
-				}
-			}
-			// dirtTrace pushes a real foreign packet through the same
-			// runtime (ephemeral reports on, different header values, its
-			// own states) so caches and arenas carry another flow.
-			dirtTrace := func(rt *compiler.Runtime, trace []difftest.HopSpec) {
-				states, err := symexec.BuildStates(comp.Prog, model)
-				if err != nil {
-					t.Fatalf("build states: %v", err)
-				}
-				if _, err := rt.RunTrace(envs(trace, states, true)); err != nil {
-					t.Fatalf("dirt trace: %v", err)
-				}
-			}
-
-			clean := &compiler.Runtime{Prog: comp.Prog}
-			dirty := &compiler.Runtime{Prog: comp.Prog}
-			lk := dirty.Linked()
-			if lk == nil {
-				t.Fatal("program failed to link")
-			}
-
-			for _, tc := range []struct {
-				label string
-				trace []difftest.HopSpec
-			}{{"conform", gt.conform}, {"violate", gt.violate}} {
-				want := run(clean, tc.trace)
-				scribble(lk)
-				dirtTrace(dirty, gt.violate)
-				scribble(lk)
-				dirtTrace(dirty, gt.conform)
-				scribble(lk)
-				got := run(dirty, tc.trace)
-
-				if got.Reject != want.Reject {
-					t.Errorf("%s: reject %v on dirty runtime, %v on clean", tc.label, got.Reject, want.Reject)
-				}
-				if !bytes.Equal(got.FinalBlob, want.FinalBlob) {
-					t.Errorf("%s: final blob %x on dirty runtime, %x on clean", tc.label, got.FinalBlob, want.FinalBlob)
-				}
-				if !reflect.DeepEqual(got.Reports, want.Reports) {
-					t.Errorf("%s: reports %+v on dirty runtime, %+v on clean", tc.label, got.Reports, want.Reports)
-				}
-			}
-		})
-	}
-}
-
-// TestVMScratchAliasing is the bytecode-VM twin of the linked suite:
-// every corpus checker runs its golden traces through RunTraceVM (the
-// whole-trace resident-PHV path) on a runtime whose pooled VM contexts
-// are scribbled with all-ones slots, stale reports, and bumped
-// counters between traces, with foreign dirt traces interleaved so the
-// per-site table caches hold another packet's entries. Outcomes must
-// be byte-identical to a pristine runtime: the per-trace template
-// restore plus the per-hop reset runs must erase every poisoned slot
-// an execution could observe.
-func TestVMScratchAliasing(t *testing.T) {
-	for _, gt := range goldenTraces {
-		gt := gt
-		t.Run(gt.key, func(t *testing.T) {
-			comp, err := difftest.CompileCorpus(gt.key)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			model := checkers.SymModelFor(gt.key)
-
-			envs := func(trace []difftest.HopSpec, states map[uint32]*pipeline.State, dirt bool) []compiler.HopEnv {
-				out := make([]compiler.HopEnv, len(trace))
-				for i, hs := range trace {
-					pktLen := hs.PktLen
-					if pktLen == 0 {
-						pktLen = 100
-					}
-					headers := map[string]pipeline.Value{}
-					for name, v := range hs.Headers {
-						w := 1
-						if bt, ok := comp.Info.Decls[name].Type.(ast.BitType); ok {
-							w = bt.Width
-						}
-						if dirt {
-							v = ^v
-						}
-						headers[comp.Prog.HeaderBindings[name]] = pipeline.B(w, v)
-					}
-					out[i] = compiler.HopEnv{
-						State:     states[hs.SW],
-						SwitchID:  hs.SW,
-						Headers:   headers,
-						PacketLen: pktLen,
-					}
-				}
-				return out
-			}
-
-			run := func(rt *compiler.Runtime, trace []difftest.HopSpec) compiler.TraceResult {
-				states, err := symexec.BuildStates(comp.Prog, model)
-				if err != nil {
-					t.Fatalf("build states: %v", err)
-				}
-				res, err := rt.RunTraceVM(envs(trace, states, false))
-				if err != nil {
-					t.Fatalf("run: %v", err)
+					t.Fatalf("%s run: %v", shapes[shape].name, err)
 				}
 				return res
 			}
@@ -219,15 +116,6 @@ func TestVMScratchAliasing(t *testing.T) {
 					vp.ReleaseCtx(c)
 				}
 			}
-			dirtTrace := func(rt *compiler.Runtime, trace []difftest.HopSpec) {
-				states, err := symexec.BuildStates(comp.Prog, model)
-				if err != nil {
-					t.Fatalf("build states: %v", err)
-				}
-				if _, err := rt.RunTraceVM(envs(trace, states, true)); err != nil {
-					t.Fatalf("dirt trace: %v", err)
-				}
-			}
 
 			clean := &compiler.Runtime{Prog: comp.Prog}
 			dirty := &compiler.Runtime{Prog: comp.Prog}
@@ -240,22 +128,25 @@ func TestVMScratchAliasing(t *testing.T) {
 				label string
 				trace []difftest.HopSpec
 			}{{"conform", gt.conform}, {"violate", gt.violate}} {
-				want := run(clean, tc.trace)
+				label := shapes[shape].name + " " + tc.label
+				want := run(clean, shape, tc.trace, false)
+				// Dirt in both shapes: each leaves its own residue
+				// (resident PHV, per-hop arenas) in the shared pool.
 				scribble(vp)
-				dirtTrace(dirty, gt.violate)
+				run(dirty, 0, gt.violate, true)
 				scribble(vp)
-				dirtTrace(dirty, gt.conform)
+				run(dirty, 1, gt.conform, true)
 				scribble(vp)
-				got := run(dirty, tc.trace)
+				got := run(dirty, shape, tc.trace, false)
 
 				if got.Reject != want.Reject {
-					t.Errorf("%s: reject %v on dirty runtime, %v on clean", tc.label, got.Reject, want.Reject)
+					t.Errorf("%s: reject %v on dirty runtime, %v on clean", label, got.Reject, want.Reject)
 				}
 				if !bytes.Equal(got.FinalBlob, want.FinalBlob) {
-					t.Errorf("%s: final blob %x on dirty runtime, %x on clean", tc.label, got.FinalBlob, want.FinalBlob)
+					t.Errorf("%s: final blob %x on dirty runtime, %x on clean", label, got.FinalBlob, want.FinalBlob)
 				}
 				if !reflect.DeepEqual(got.Reports, want.Reports) {
-					t.Errorf("%s: reports %+v on dirty runtime, %+v on clean", tc.label, got.Reports, want.Reports)
+					t.Errorf("%s: reports %+v on dirty runtime, %+v on clean", label, got.Reports, want.Reports)
 				}
 			}
 		})

@@ -7,7 +7,7 @@ import "repro/internal/difftest"
 // intended semantics (not edge cases — those live in the frontier
 // corpus). The golden tests pin their verdicts and telemetry blobs; the
 // scratch-aliasing tests replay the same pairs through a deliberately
-// dirtied linked runtime.
+// dirtied VM runtime.
 type goldenTrace struct {
 	key     string
 	conform []difftest.HopSpec

@@ -42,7 +42,7 @@ import (
 // setupBatch decides whether this shard can use the batched VM path and
 // builds the per-checker execution state if so.
 func (s *shard) setupBatch() {
-	if s.cfg.NoBatch || len(s.cfg.Checkers) == 0 {
+	if len(s.cfg.Checkers) == 0 {
 		return
 	}
 	n := len(s.cfg.Checkers)

@@ -129,11 +129,6 @@ type Config struct {
 	// shared lock and a full ring drops (with accounting) instead of
 	// blocking the worker. Composable with KeepReports.
 	ReportBus *reportbus.Bus
-	// NoBatch disables the bytecode-VM batched execution path, forcing
-	// hop-major per-packet execution through Checker.RT.RunHop. The
-	// engine also falls back automatically when a checker has no
-	// bytecode form, checks every hop, or can reject mid-trace.
-	NoBatch bool
 }
 
 // Engine executes checkers over submitted packets on sharded workers.

@@ -30,12 +30,9 @@ type EngineReplayConfig struct {
 	// the differential tests; costs one slice slot per packet).
 	KeepVerdicts bool
 	// NoLink pins every checker runtime to the map-based reference
-	// interpreter instead of the linked executor (used by the linked
+	// interpreter instead of the bytecode VM (used by the VM
 	// conformance tests as the ground truth).
 	NoLink bool
-	// NoBatch disables the bytecode-VM batched path, measuring the
-	// per-packet linked executor instead (the pre-batching baseline).
-	NoBatch bool
 }
 
 // EngineReplayResult is the outcome of one engine replay.
@@ -172,7 +169,6 @@ func RunEngineReplay(cfg EngineReplayConfig) (EngineReplayResult, error) {
 		BatchSize: cfg.BatchSize,
 		Checkers:  chks,
 		Verdicts:  verdicts,
-		NoBatch:   cfg.NoBatch,
 	})
 	if err := ConfigureReplayEngine(eng.Install, pairs); err != nil {
 		return EngineReplayResult{}, err
@@ -214,7 +210,7 @@ func RunSequentialReplay(cfg EngineReplayConfig) (EngineReplayResult, error) {
 	if cfg.KeepVerdicts {
 		verdicts = make([]engine.Verdict, len(pkts))
 	}
-	seq := engine.NewSequential(engine.Config{Checkers: chks, Verdicts: verdicts, NoBatch: cfg.NoBatch})
+	seq := engine.NewSequential(engine.Config{Checkers: chks, Verdicts: verdicts})
 	if err := ConfigureReplayEngine(seq.Install, pairs); err != nil {
 		return EngineReplayResult{}, err
 	}
@@ -260,7 +256,7 @@ func RunBatchReplay(cfg EngineReplayConfig) (EngineReplayResult, error) {
 	if cfg.KeepVerdicts {
 		verdicts = make([]engine.Verdict, len(pkts))
 	}
-	seq := engine.NewSequential(engine.Config{Checkers: chks, Verdicts: verdicts, NoBatch: cfg.NoBatch})
+	seq := engine.NewSequential(engine.Config{Checkers: chks, Verdicts: verdicts})
 	if err := ConfigureReplayEngine(seq.Install, pairs); err != nil {
 		return EngineReplayResult{}, err
 	}

@@ -388,6 +388,59 @@ func TestIngestWorkerUnreachable(t *testing.T) {
 	}
 }
 
+// TestSenderFinishTeardown pins the orderly end of a session without a
+// real worker: the connection's reader has already buffered what the
+// worker sent before closing — a FinAck and then EOF — so finish's
+// select sees both ready at once. FinAck must win, and an EOF after Fin
+// is a normal close; only a real error after Fin counts as a lost
+// connection.
+func TestSenderFinishTeardown(t *testing.T) {
+	cases := []struct {
+		name      string
+		finAck    bool
+		err       error
+		reconnect uint64
+	}{
+		{"finack+eof", true, io.EOF, 0},
+		{"eof", false, io.EOF, 0},
+		{"finack+reset", true, io.ErrClosedPipe, 0},
+		{"reset", false, io.ErrClosedPipe, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in, err := NewIngest(IngestConfig{Workers: []string{"unused"}, PathFor: testPath})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := newSender(in, 0, "unused", nil, 0)
+			conn, peer := net.Pipe()
+			defer peer.Close()
+			defer conn.Close()
+			s.cs = &connState{
+				conn:    conn,
+				w:       wireproto.NewWriter(io.Discard),
+				creditc: make(chan uint64, 1),
+				finackc: make(chan FinAck, 1),
+				errc:    make(chan error, 1),
+			}
+			if tc.finAck {
+				s.cs.finackc <- FinAck{}
+			}
+			s.cs.errc <- tc.err
+			s.finish()
+			if got := s.reconnects.Load(); got != tc.reconnect {
+				t.Errorf("reconnects = %d, want %d", got, tc.reconnect)
+			}
+			if s.err != nil {
+				t.Errorf("sender error: %v", s.err)
+			}
+			if s.dropTotal.Load() != 0 {
+				t.Errorf("dropped %d packets on an empty window", s.dropTotal.Load())
+			}
+		})
+	}
+}
+
 // TestIngestStop verifies SIGTERM semantics: Stop ends the dispatch
 // loop early but the senders still drain and close cleanly, so
 // everything dispatched is still accounted.

@@ -601,7 +601,12 @@ func readLoop(cs *connState) {
 }
 
 // finish drains the window, sends Fin, and waits for the worker's
-// FinAck — the orderly end of a session.
+// FinAck — the orderly end of a session. Once Fin is out, the worker
+// closing its end is part of that orderly end: readLoop delivers a
+// FinAck before the error that ends the loop, so a FinAck buffered
+// alongside the error wins, and a bare EOF counts as a normal close
+// rather than a lost connection (the window is already drained, so no
+// packet is at stake).
 func (s *sender) finish() {
 	if s.cs == nil || s.err != nil {
 		return
@@ -631,7 +636,14 @@ func (s *sender) finish() {
 		case <-s.cs.finackc:
 			return
 		case err := <-s.cs.errc:
-			s.onConnError(err)
+			select {
+			case <-s.cs.finackc:
+				return
+			default:
+			}
+			if !errors.Is(err, io.EOF) {
+				s.onConnError(err)
+			}
 			return
 		case <-deadline.C:
 			s.onConnError(errCreditTimeout)

@@ -63,8 +63,9 @@ type Verdict struct {
 func (v Verdict) Violation() bool { return v.Reject || v.Reports > 0 }
 
 // Path is one explored path: the witness trace plus the symbolic
-// executor's predicted outcome, which replay checks against all three
-// backends byte-for-byte.
+// executor's predicted outcome, which replay checks byte-for-byte
+// against all three executors: the reference interpreter, the map
+// pipeline, and the bytecode VM.
 type Path struct {
 	Trace     Trace
 	Verdict   Verdict
@@ -249,7 +250,7 @@ func scalarWidth(t ast.Type) int {
 }
 
 // BuildStates instantiates per-switch pipeline state with the model's
-// canonical control-plane installs. The linked-backend aliasing tests
+// canonical control-plane installs. The VM scratch-aliasing tests
 // reuse it to get bit-identical state without a difftest Runner.
 func BuildStates(prog *pipeline.Program, model checkers.SymModel) (map[uint32]*pipeline.State, error) {
 	specs := make(map[string]pipeline.TableSpec, len(prog.Tables))
