@@ -313,10 +313,10 @@ func TestInstallUnknownChecker(t *testing.T) {
 }
 
 // TestConcurrentInstallDuringRun hammers a running engine's tables from
-// a control-plane goroutine while the workers process packets: after
-// the initial configuration has created every per-shard state replica,
-// Install calls go through the pipeline table mutexes and are safe
-// concurrently with packet processing (engine.Install's contract). The
+// a control-plane goroutine while the workers process packets: Install
+// writes the one table set every shard reads, through the pipeline
+// table mutexes, and is safe concurrently with packet processing
+// (engine.Install's contract). The
 // extra firewall pairs allow flows that never appear in the trace, so
 // verdicts are unaffected; the test is the race detector's target and a
 // liveness check that installs can't wedge the dispatch path.

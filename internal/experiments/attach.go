@@ -18,14 +18,15 @@ type SwitchInfo struct {
 
 // ConfigureBenign installs the benign §6.2 "all checkers" control state
 // through the install callback, so the same configuration can target
-// netsim switch attachments and engine shard replicas alike:
-// install(checker, swIdx, fn) must apply fn to every replica of that
-// checker's state on switch sws[swIdx]. The state makes legal traffic
-// never reject: tenants and VLANs are uniform, all egress ports are
-// allowed, the waypoint is the first leaf (every host pair's path
-// crosses it in a 2-leaf fabric), the load-balance threshold is
-// effectively infinite, and the stateful firewall is seeded separately
-// via FirewallSeed / AllowFlows.
+// netsim switch attachments and engine control tables alike:
+// install(checker, swIdx, fn) must apply fn to the control tables of
+// that checker's state on switch sws[swIdx] (an engine applies it once,
+// to the one table set all its shards read); fn writes tables only.
+// The state makes legal traffic never reject: tenants and VLANs are
+// uniform, all egress ports are allowed, the waypoint is the first leaf
+// (every host pair's path crosses it in a 2-leaf fabric), the
+// load-balance threshold is effectively infinite, and the stateful
+// firewall is seeded separately via FirewallSeed / AllowFlows.
 func ConfigureBenign(sws []SwitchInfo, install func(checker string, swIdx int, fn func(*pipeline.State) error) error) error {
 	scalar := func(key string, sw int, name string, w int, v uint64) error {
 		return install(key, sw, func(st *pipeline.State) error {
@@ -168,18 +169,23 @@ func AttachAllCheckers(ls *netsim.LeafSpine) (map[string][]*netsim.HydraAttachme
 
 // FirewallSeed returns an installer that seeds the stateful firewall's
 // allowed dictionary (both directions) for the given (src, dst) address
-// pairs.
+// pairs. Each call cuts every entry's two-column key from one backing
+// array, and all entries share one action slice: tables never write
+// through either.
 func FirewallSeed(pairs [][2]uint32) func(*pipeline.State) error {
+	allow := []pipeline.Value{pipeline.BoolV(true)}
 	return func(st *pipeline.State) error {
 		tbl := st.Tables["allowed"]
-		for _, p := range pairs {
-			for _, k := range [][]pipeline.KeyMatch{
-				{pipeline.ExactKey(uint64(p[0])), pipeline.ExactKey(uint64(p[1]))},
-				{pipeline.ExactKey(uint64(p[1])), pipeline.ExactKey(uint64(p[0]))},
-			} {
-				if err := tbl.Insert(pipeline.Entry{Keys: k, Action: []pipeline.Value{pipeline.BoolV(true)}}); err != nil {
-					return err
-				}
+		keys := make([]pipeline.KeyMatch, 4*len(pairs))
+		for i, p := range pairs {
+			k := keys[4*i : 4*i+4 : 4*i+4]
+			k[0], k[1] = pipeline.ExactKey(uint64(p[0])), pipeline.ExactKey(uint64(p[1]))
+			k[2], k[3] = k[1], k[0]
+			if err := tbl.Insert(pipeline.Entry{Keys: k[0:2:2], Action: allow}); err != nil {
+				return err
+			}
+			if err := tbl.Insert(pipeline.Entry{Keys: k[2:4:4], Action: allow}); err != nil {
+				return err
 			}
 		}
 		return nil

@@ -117,21 +117,38 @@ type State struct {
 func (p *Program) NewState() *State {
 	st := &State{
 		Tables:    make(map[string]*Table, len(p.Tables)),
-		Registers: make(map[string]*Register, len(p.Registers)),
 		tableList: make([]*Table, 0, len(p.Tables)),
-		regList:   make([]*Register, 0, len(p.Registers)),
 	}
 	for _, ts := range p.Tables {
 		t := NewTable(ts.Name, ts.Keys, ts.Outputs, ts.Default)
 		st.Tables[ts.Name] = t
 		st.tableList = append(st.tableList, t)
 	}
+	p.addRegisters(st)
+	return st
+}
+
+// NewStateWithTables instantiates one more replica of the program on a
+// switch whose tables already live in shared: the result reads the very
+// same tables (the shared Tables map and declaration-order list, so
+// TableAt resolves identically) but owns fresh, zeroed registers. This
+// is the hardware split — the control plane writes one set of
+// match-action tables that several pipes read, while each pipe's
+// sensors stay private.
+func (p *Program) NewStateWithTables(shared *State) *State {
+	st := &State{Tables: shared.Tables, tableList: shared.tableList}
+	p.addRegisters(st)
+	return st
+}
+
+func (p *Program) addRegisters(st *State) {
+	st.Registers = make(map[string]*Register, len(p.Registers))
+	st.regList = make([]*Register, 0, len(p.Registers))
 	for _, rs := range p.Registers {
 		r := NewRegister(rs.Name, rs.Width, rs.Size)
 		st.Registers[rs.Name] = r
 		st.regList = append(st.regList, r)
 	}
-	return st
 }
 
 // Warm eagerly rebuilds every exact table's lock-free read snapshot
